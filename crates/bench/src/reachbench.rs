@@ -75,7 +75,8 @@ pub struct ReachCell {
     /// Resident bytes of the image region in the zygote after the
     /// working set settled (smaps, so large pages count per-frame).
     pub image_rss_kb: u64,
-    /// Main-TLB entries the per-process working set needs.
+    /// Distinct translations (TLB entries) mapping one app's working
+    /// set: one per 4KB PTE, one per 64KB group.
     pub tlb_entries: u64,
     /// Instruction main-TLB stall cycles over the alternating sweeps.
     pub stalls: u64,
@@ -119,8 +120,6 @@ pub fn reach_cell(
 ) -> sat_types::SatResult<ReachCell> {
     let touched = touched_pages(scale);
     let image_pages = touched * 16 / 6; // Figure 4 density
-    let groups = image_pages / 16;
-    let promoted = config.promote.enabled;
 
     let mut kernel = Kernel::new(config, 1 << 18);
     let zygote = kernel.create_process()?;
@@ -179,6 +178,16 @@ pub fn reach_cell(
     // off, so every cell runs the identical call sequence.
     m.syscall(|k, tlb| k.promote_scan(a, tlb))?;
     m.syscall(|k, tlb| k.promote_scan(b, tlb))?;
+    // Reach, measured: the distinct translations (one per 4KB PTE, one
+    // per 64KB group) that map the working set in app `a`.
+    let mut translations = std::collections::BTreeSet::new();
+    for i in 0..touched {
+        let va = touched_va(i);
+        if let Some(slot) = m.kernel.pte(a, va)? {
+            let bytes = slot.hw.size.bytes();
+            translations.insert((va.raw() / bytes * bytes, bytes));
+        }
+    }
     m.reset_hw_stats();
     for _ in 0..SWEEPS {
         for &pid in &[a, b] {
@@ -214,11 +223,7 @@ pub fn reach_cell(
         record,
         label,
         image_rss_kb,
-        tlb_entries: if promoted {
-            u64::from(groups)
-        } else {
-            u64::from(touched)
-        },
+        tlb_entries: translations.len() as u64,
         stalls,
         translation: TranslationTotals {
             promotions: stats.promotions + stats.section_promotions,

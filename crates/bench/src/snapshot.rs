@@ -15,7 +15,8 @@ use std::fmt::Write as _;
 
 use sat_obs::json::Json;
 
-/// The snapshot schema written (and required by `repro check`).
+/// The snapshot schema written, and the only one `repro check` and
+/// `repro diff` accept.
 ///
 /// History: `repro-v1` carried command/scale/threads/experiments/
 /// total_wall_ms; `repro-v2` added per-experiment `"events"` counter
@@ -32,18 +33,6 @@ use sat_obs::json::Json;
 /// demotions/splits/waste_frames) for the reach cells, gated the same
 /// way.
 pub const SCHEMA: &str = "sat-bench/repro-v7";
-
-/// Schemas `repro diff` can compare (the diff reads only fields that
-/// exist since v2; gauge gating engages from v4, latency from v5,
-/// reclaim from v6, translation from v7).
-const DIFFABLE_SCHEMAS: [&str; 6] = [
-    "sat-bench/repro-v2",
-    "sat-bench/repro-v3",
-    "sat-bench/repro-v4",
-    "sat-bench/repro-v5",
-    "sat-bench/repro-v6",
-    "sat-bench/repro-v7",
-];
 
 /// Subsystems `repro all --trace` must cover for the trace to count as
 /// healthy (the acceptance floor; `sim` and `bench` ride along).
@@ -132,16 +121,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Parses a snapshot document, validating the schema is diffable.
+    /// Parses a snapshot document, requiring the current [`SCHEMA`].
     pub fn parse(text: &str, label: &str) -> Result<Snapshot, String> {
         let doc = Json::parse(text).map_err(|e| format!("{label}: {e}"))?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("{label}: missing \"schema\""))?;
-        if !DIFFABLE_SCHEMAS.contains(&schema) {
+        if schema != SCHEMA {
             return Err(format!(
-                "{label}: schema \"{schema}\" (expected one of {DIFFABLE_SCHEMAS:?})"
+                "{label}: schema \"{schema}\" (expected \"{SCHEMA}\")"
             ));
         }
         let mut experiments = BTreeMap::new();
@@ -686,7 +675,7 @@ mod tests {
     fn snapshot_json(wall_a: f64, total: f64, flushes: u64) -> String {
         format!(
             r#"{{
-  "schema": "sat-bench/repro-v3",
+  "schema": "sat-bench/repro-v7",
   "command": "all",
   "scale": "quick",
   "threads": 4,
@@ -796,7 +785,7 @@ mod tests {
         let fleet = |n256: f64, n4096: f64, total: f64| -> Snapshot {
             parse(&format!(
                 r#"{{
-  "schema": "sat-bench/repro-v3",
+  "schema": "sat-bench/repro-v7",
   "command": "fleet",
   "scale": "paper",
   "threads": 4,
@@ -827,7 +816,7 @@ mod tests {
         let v4 = |slab_hw: u64, runq_hw: u64| -> Snapshot {
             parse(&format!(
                 r#"{{
-  "schema": "sat-bench/repro-v4",
+  "schema": "sat-bench/repro-v7",
   "command": "fleet",
   "scale": "quick",
   "threads": 4,
@@ -870,7 +859,7 @@ mod tests {
         let v5 = |p99: u64, p50: u64| -> Snapshot {
             parse(&format!(
                 r#"{{
-  "schema": "sat-bench/repro-v5",
+  "schema": "sat-bench/repro-v7",
   "command": "serve",
   "scale": "quick",
   "threads": 4,
@@ -913,7 +902,7 @@ mod tests {
     fn v6(budget: u64, pages: u64, shared_tears: u64) -> Snapshot {
         parse(&format!(
             r#"{{
-  "schema": "sat-bench/repro-v6",
+  "schema": "sat-bench/repro-v7",
   "command": "pressure",
   "scale": "quick",
   "threads": 4,
@@ -1020,13 +1009,11 @@ mod tests {
     }
 
     #[test]
-    fn old_v2_snapshots_remain_diffable() {
-        let v2 = snapshot_json(100.0, 150.0, 5000).replace("repro-v3", "repro-v2");
-        let old = Snapshot::parse(&v2, "old").unwrap();
-        assert_eq!(old.schema, "sat-bench/repro-v2");
-        let new = parse(&snapshot_json(100.0, 150.0, 5000));
-        assert_eq!(diff(&old, &new, 25.0).regressions(), 0);
-        let v1 = snapshot_json(100.0, 150.0, 5000).replace("repro-v3", "repro-v1");
-        assert!(Snapshot::parse(&v1, "old").is_err());
+    fn older_schema_snapshots_are_rejected() {
+        let current = snapshot_json(100.0, 150.0, 5000);
+        assert_eq!(parse(&current).schema, SCHEMA);
+        let v6 = current.replace("repro-v7", "repro-v6");
+        let err = Snapshot::parse(&v6, "old").unwrap_err();
+        assert!(err.contains("sat-bench/repro-v6"), "{err}");
     }
 }

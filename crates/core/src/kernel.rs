@@ -35,7 +35,7 @@ use sat_vm::{
 use crate::asid::AsidAllocator;
 use crate::config::KernelConfig;
 use crate::flush::FlushBatch;
-use crate::registry::{RegistryStats, SharedPtpRegistry};
+use crate::registry::SharedPtpRegistry;
 use crate::share::{fork_share, unshare, unshare_range, UnshareTrigger};
 use crate::TlbMaintenance;
 
@@ -92,17 +92,15 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Mirrors the registry's authoritative share/unshare counters
-    /// into this kernel-global stats block. The registry owns the
-    /// Figure-6 cause attribution; `KernelStats` keeps its public
-    /// shape so every consumer (experiments, conservation checks)
-    /// reads the same fields as before.
-    fn mirror_share(&mut self, r: &RegistryStats) {
-        self.ptp_unshares = r.ptp_unshares;
-        self.unshares_write_fault = r.unshares_write_fault;
-        self.unshares_new_region = r.unshares_new_region;
-        self.unshares_region_free = r.unshares_region_free;
-        self.unshares_region_op = r.unshares_region_op;
+    /// Counts one PTP unshare under its Figure-6 cause.
+    pub(crate) fn count_unshare(&mut self, trigger: UnshareTrigger) {
+        self.ptp_unshares += 1;
+        match trigger {
+            UnshareTrigger::WriteFault => self.unshares_write_fault += 1,
+            UnshareTrigger::NewRegion => self.unshares_new_region += 1,
+            UnshareTrigger::RegionFree => self.unshares_region_free += 1,
+            UnshareTrigger::RegionOp => self.unshares_region_op += 1,
+        }
     }
 }
 
@@ -430,12 +428,12 @@ impl Kernel {
                 &mut self.ptps,
                 &mut self.phys,
                 &mut self.registry,
+                &mut self.stats,
                 range,
                 &config,
                 &mut batch,
                 UnshareTrigger::NewRegion,
             )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
         }
         if config.share_tlb
             && mm.is_zygote
@@ -486,12 +484,12 @@ impl Kernel {
                 &mut self.ptps,
                 &mut self.phys,
                 &mut self.registry,
+                &mut self.stats,
                 range,
                 &config,
                 &mut batch,
                 UnshareTrigger::RegionFree,
             )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
         }
         // A partial unmap cutting through a large page or section must
         // split it first (the vm layer repeats this defensively, but
@@ -562,12 +560,12 @@ impl Kernel {
                 &mut self.ptps,
                 &mut self.phys,
                 &mut self.registry,
+                &mut self.stats,
                 range,
                 &config,
                 &mut batch,
                 UnshareTrigger::RegionOp,
             )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
         }
         // As for munmap: a protection change over *part* of a large
         // mapping splits it (a whole-group change stays uniform and
@@ -639,6 +637,7 @@ impl Kernel {
                 &mut self.ptps,
                 &mut self.phys,
                 &mut self.registry,
+                &mut self.stats,
                 va,
                 &config,
                 &mut batch,
@@ -647,7 +646,6 @@ impl Kernel {
             .expect("NEED_COPY checked above");
             unshared = true;
             unshare_ptes_copied = r.ptes_copied;
-            self.stats.mirror_share(&self.registry.stats);
         }
         let zygote_like = mm.is_zygote_like();
         let ctx = FaultCtx {
@@ -697,81 +695,6 @@ impl Kernel {
             },
         };
         populate(mm, &mut self.ptps, &mut self.phys, range, ctx)
-    }
-
-    /// Maps an anonymous region with 64KB large pages (the
-    /// hugetlbfs-like path), eagerly populating it. Large-page
-    /// regions compose with PTP sharing: their sixteen-slot groups
-    /// live in ordinary PTPs, which fork can share.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mmap_large(
-        &mut self,
-        pid: Pid,
-        at: VirtAddr,
-        len: u32,
-        perms: Perms,
-        tag: sat_types::RegionTag,
-        name: &str,
-        tlb: &mut dyn TlbMaintenance,
-    ) -> SatResult<sat_vm::LargeMapReport> {
-        // Eager population allocates the whole region up front; check
-        // pressure first (no-op without a frame budget).
-        self.maybe_reclaim(tlb);
-        let config = self.config;
-        let mm = self.procs.get_mut(&pid).ok_or(SatError::NoSuchProcess)?;
-        let zygote_like = mm.is_zygote_like();
-        let domain = if config.share_tlb && zygote_like {
-            Domain::ZYGOTE
-        } else {
-            Domain::USER
-        };
-        // Section 3.1.2 case 3 applies here exactly as in `mmap`: a
-        // new region in the range of a shared PTP must unshare it
-        // eagerly, or the eager PTE installs below would leak into the
-        // other sharers' address spaces.
-        let range = sat_vm::round_to_large(sat_types::VaRange::from_len(at, len));
-        let asid = mm.asid.raw();
-        let mut batch = FlushBatch::new(pid, mm.asid);
-        let mut unshared = 0;
-        if config.share_ptp {
-            unshared = unshare_range(
-                mm,
-                &mut self.ptps,
-                &mut self.phys,
-                &mut self.registry,
-                range,
-                &config,
-                &mut batch,
-                UnshareTrigger::NewRegion,
-            )? as u64;
-            self.stats.mirror_share(&self.registry.stats);
-        }
-        let report = sat_vm::mmap_large(
-            mm,
-            &mut self.ptps,
-            &mut self.phys,
-            at,
-            len,
-            perms,
-            tag,
-            name,
-            domain,
-        )?;
-        batch.apply(tlb);
-        if sat_obs::enabled() {
-            sat_obs::emit(
-                sat_obs::Subsystem::Kernel,
-                pid.raw(),
-                asid,
-                sat_obs::Payload::RegionOp {
-                    op: sat_obs::RegionOpKind::MmapLarge,
-                    va: at.raw(),
-                    pages: len.div_ceil(sat_types::PAGE_SIZE),
-                    unshared,
-                },
-            );
-        }
-        Ok(report)
     }
 
     /// `fork(2)`: shares PTPs when enabled, else copies per the
@@ -922,7 +845,7 @@ impl Kernel {
         // unshare).
         for (idx, frame) in mm.root.iter_ptps() {
             if mm.root.entry(idx).need_copy() {
-                self.registry.exit_detach(frame);
+                self.registry.detach(frame);
             }
         }
         exit_mmap(&mut mm, &mut self.ptps, &mut self.phys);
@@ -1034,7 +957,7 @@ impl Kernel {
                 "{n} NEED_COPY references to {frame:?} with no registry entry"
             ));
         }
-        let s = &self.registry.stats;
+        let s = &self.stats;
         let by_cause = s.unshares_write_fault
             + s.unshares_new_region
             + s.unshares_region_free
@@ -1274,6 +1197,71 @@ mod tests {
         // Now the zygote exits too; everything is reclaimed.
         k.exit(zygote, &mut NoTlb).unwrap();
         assert!(k.ptps.is_empty());
+    }
+
+    #[test]
+    fn exit_is_not_an_unshare() {
+        // Case 5: exit detaches from the registry without copying.
+        let (mut k, zygote) = boot(KernelConfig::shared_ptp());
+        let child = k.fork(zygote).unwrap().child;
+        k.exit(child, &mut NoTlb).unwrap();
+        assert_eq!(k.stats.ptp_unshares, 0);
+        assert!(k.registry.iter().all(|(_, e)| e.sharers == 1));
+        // The zygote's next write takes the last-sharer path, counted
+        // once, by cause.
+        let heap = VirtAddr::new(0x0900_0000);
+        let o = k
+            .page_fault(zygote, heap, AccessType::Write, &mut NoTlb)
+            .unwrap();
+        assert!(o.unshared);
+        assert_eq!(k.stats.ptp_unshares, 1);
+        assert_eq!(k.stats.unshares_write_fault, 1);
+    }
+
+    #[test]
+    fn unshare_out_of_memory_leaves_the_share_intact() {
+        // Regression: a write-fault unshare that cannot allocate its
+        // private PTP must fail before it touches the registry, the
+        // child's level-1 pair or the unshare counters.
+        let (mut k, zygote) = boot(KernelConfig::shared_ptp());
+        let child = k.fork(zygote).unwrap().child;
+        let heap = VirtAddr::new(0x0900_0000);
+        let shared = k.mm(zygote).unwrap().root.entry_for(heap).ptp();
+        let mut hog = Vec::new();
+        while let Ok(frame) = k.phys.alloc(sat_phys::FrameKind::Anon) {
+            hog.push(frame);
+        }
+        let err = k
+            .page_fault(child, heap, AccessType::Write, &mut NoTlb)
+            .unwrap_err();
+        assert_eq!(err, SatError::OutOfMemory);
+        k.verify_share_accounting().unwrap();
+        k.phys.rmap_verify().unwrap();
+        assert_eq!(k.stats.ptp_unshares, 0);
+        let entry = k.mm(child).unwrap().root.entry_for(heap);
+        assert!(entry.need_copy());
+        assert_eq!(entry.ptp(), shared);
+        assert!(k.pte(child, heap).unwrap().is_some());
+        // One frame back: the unshare completes and counts once; the
+        // COW copy that follows still finds no frame.
+        k.phys.put_page(hog.pop().unwrap());
+        let err = k
+            .page_fault(child, heap, AccessType::Write, &mut NoTlb)
+            .unwrap_err();
+        assert_eq!(err, SatError::OutOfMemory);
+        assert_eq!(k.stats.ptp_unshares, 1);
+        assert!(!k.mm(child).unwrap().root.entry_for(heap).need_copy());
+        k.verify_share_accounting().unwrap();
+        k.phys.rmap_verify().unwrap();
+        // A second frame lets the COW resolve on the private table.
+        k.phys.put_page(hog.pop().unwrap());
+        let o = k
+            .page_fault(child, heap, AccessType::Write, &mut NoTlb)
+            .unwrap();
+        assert!(!o.unshared);
+        assert_eq!(o.vm.kind, sat_vm::FaultKind::Cow);
+        assert_eq!(k.stats.ptp_unshares, 1);
+        k.verify_share_accounting().unwrap();
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use flush::{BatchOutcome, FlushBatch, FlushOp, FLUSH_CEILING_PAGES};
 pub use kernel::{ForkOutcome, Kernel, KernelStats, ProcFaultOutcome};
 pub use promote::PromoteReport;
 pub use reclaim::ReclaimOutcome;
-pub use registry::{RegistryStats, SharedPtpEntry, SharedPtpRegistry};
+pub use registry::{SharedPtpEntry, SharedPtpRegistry};
 pub use share::{fork_share, unshare, unshare_range, ShareForkReport, UnshareTrigger};
 
 /// TLB maintenance requests issued by kernel MM operations.

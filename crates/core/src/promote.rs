@@ -507,6 +507,39 @@ mod tests {
     }
 
     #[test]
+    fn collapse_under_exhausted_memory_changes_nothing() {
+        // With every frame taken, the collapse fails before it touches
+        // anything: the group stays small and no frame moves.
+        let (mut k, pid) = boot(promoting(KernelConfig::stock(), 1, false), 16, &[0, 5]);
+        let mut hog = Vec::new();
+        while let Ok(frame) = k.phys.alloc(sat_phys::FrameKind::Anon) {
+            hog.push(frame);
+        }
+        let in_use = k.phys.frames_in_use();
+        let r = k.promote_scan(pid, &mut NoTlb).unwrap();
+        assert_eq!(r, PromoteReport::default());
+        assert_eq!(k.stats.promotions, 0);
+        assert_eq!(k.stats.waste_frames, 0);
+        assert_eq!(k.phys.frames_in_use(), in_use);
+        assert_eq!(
+            k.pte(pid, VirtAddr::new(HEAP)).unwrap().unwrap().hw.size,
+            PageSize::Small4K
+        );
+        k.phys.rmap_verify().unwrap();
+        // Once the frames are released, the same group collapses.
+        for frame in hog {
+            k.phys.put_page(frame);
+        }
+        let r = k.promote_scan(pid, &mut NoTlb).unwrap();
+        assert_eq!((r.promoted, r.filled), (1, 14));
+        assert_eq!(
+            k.pte(pid, VirtAddr::new(HEAP)).unwrap().unwrap().hw.size,
+            PageSize::Large64K
+        );
+        k.phys.rmap_verify().unwrap();
+    }
+
+    #[test]
     fn scan_survives_memory_exhaustion() {
         // Small machine: the scan runs out of frames for hole filling
         // and stops early instead of failing the caller.

@@ -1,15 +1,14 @@
 //! The central registry of shared page-table pages.
 //!
 //! Before this registry existed, "is this PTP shared, and by how
-//! many?" was answered three different ways in three places: the
+//! many?" was answered two different ways in two places: the
 //! `NEED_COPY` bit in each process's level-1 pair said *that* a PTP
-//! was shared, the frame's `mapcount` in `sat-phys` said *how many*
-//! processes reference it, and the Figure-6 cause attribution was
-//! reconstructed after the fact from [`KernelStats`] counters bumped
-//! at every call site. [`SharedPtpRegistry`] centralizes all three:
-//! one refcounted entry per shared PTP, keyed by the physical frame,
-//! owning the sharer count, the chunk it covers, and the by-cause
-//! unshare counters.
+//! was shared, and the frame's `mapcount` in `sat-phys` said *how
+//! many* processes reference it. [`SharedPtpRegistry`] centralizes
+//! both: one refcounted entry per shared PTP, keyed by the physical
+//! frame, owning the sharer count and the chunk it covers. The
+//! Figure-6 cause attribution is counted once, by the unshare itself,
+//! into [`KernelStats`].
 //!
 //! `NEED_COPY` stays — it is the paper's *mechanism* (the spare bit
 //! the fault path tests without any lookup) — but it is now a cached
@@ -31,8 +30,6 @@ use std::collections::BTreeMap;
 
 use sat_types::{Domain, Pfn, VirtAddr};
 
-use crate::share::UnshareTrigger;
-
 /// One shared PTP's registry record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SharedPtpEntry {
@@ -47,38 +44,11 @@ pub struct SharedPtpEntry {
     pub sharers: u32,
 }
 
-/// Share/unshare accounting owned by the registry — the Figure-6
-/// cause attribution, previously spread over `Kernel` call sites.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Attach operations: one per (fork, shared chunk).
-    pub shares: u64,
-    /// Attaches that created the entry (first share of a PTP).
-    pub first_shares: u64,
-    /// Unshare detaches, all causes; the sum of the four by-cause
-    /// counters below.
-    pub ptp_unshares: u64,
-    /// Case 1: write fault into a shared PTP.
-    pub unshares_write_fault: u64,
-    /// Case 3: new region mapped into a shared chunk.
-    pub unshares_new_region: u64,
-    /// Case 4: region freed inside a shared chunk.
-    pub unshares_region_free: u64,
-    /// Case 2: protection change inside a shared chunk.
-    pub unshares_region_op: u64,
-    /// Case 5: exit-time detaches. Exit dereferences without copying,
-    /// so these are deliberately *not* counted in `ptp_unshares`
-    /// (matching the pre-registry `KernelStats` semantics).
-    pub exit_detaches: u64,
-}
-
 /// Central refcounted registry of shared PTPs, keyed by the physical
 /// frame holding the table.
 #[derive(Default)]
 pub struct SharedPtpRegistry {
     entries: BTreeMap<Pfn, SharedPtpEntry>,
-    /// Share/unshare counters with cause attribution.
-    pub stats: RegistryStats,
 }
 
 impl SharedPtpRegistry {
@@ -94,7 +64,6 @@ impl SharedPtpRegistry {
     /// the moment its pair is marked `NEED_COPY`); later shares bump
     /// the count. Returns the new sharer count.
     pub fn share(&mut self, frame: Pfn, chunk: VirtAddr, domain: Domain) -> u32 {
-        self.stats.shares += 1;
         match self.entries.get_mut(&frame) {
             Some(e) => {
                 debug_assert_eq!(
@@ -105,7 +74,6 @@ impl SharedPtpRegistry {
                 e.sharers
             }
             None => {
-                self.stats.first_shares += 1;
                 self.entries.insert(
                     frame,
                     SharedPtpEntry {
@@ -119,34 +87,11 @@ impl SharedPtpRegistry {
         }
     }
 
-    /// Detaches one sharer from `frame` for an unshare with Figure-6
-    /// cause `trigger`. Returns `true` when the caller was the last
-    /// sharer (the entry is removed and the caller keeps the table
-    /// private — no copy needed).
-    pub fn detach(&mut self, frame: Pfn, trigger: UnshareTrigger) -> bool {
-        self.stats.ptp_unshares += 1;
-        match trigger {
-            UnshareTrigger::WriteFault => self.stats.unshares_write_fault += 1,
-            UnshareTrigger::NewRegion => self.stats.unshares_new_region += 1,
-            UnshareTrigger::RegionFree => self.stats.unshares_region_free += 1,
-            UnshareTrigger::RegionOp => self.stats.unshares_region_op += 1,
-            // Exit goes through `exit_detach`; an explicit unshare
-            // with the Exit trigger still detaches but is attributed
-            // as a region op was before the registry existed.
-            UnshareTrigger::Exit => self.stats.unshares_region_op += 1,
-        }
-        self.detach_inner(frame)
-    }
-
-    /// Detaches one sharer at process exit (case 5). Exit tears the
-    /// reference down without copying, so this bumps only
-    /// `exit_detaches`, never `ptp_unshares`.
-    pub fn exit_detach(&mut self, frame: Pfn) -> bool {
-        self.stats.exit_detaches += 1;
-        self.detach_inner(frame)
-    }
-
-    fn detach_inner(&mut self, frame: Pfn) -> bool {
+    /// Detaches one sharer from `frame` — an unshare or an exit.
+    /// Returns `true` when the caller was the last sharer (the entry
+    /// is removed and the caller keeps the table private — no copy
+    /// needed).
+    pub fn detach(&mut self, frame: Pfn) -> bool {
         let e = self
             .entries
             .get_mut(&frame)
@@ -214,32 +159,17 @@ mod tests {
         assert_eq!(r.share(frame(), chunk(), Domain::USER), 2);
         assert_eq!(r.share(frame(), chunk(), Domain::USER), 3);
         assert_eq!(r.sharers(frame()), Some(3));
-        assert_eq!(r.stats.shares, 2);
-        assert_eq!(r.stats.first_shares, 1);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]
-    fn detach_attributes_causes_and_removes_last_sharer() {
+    fn detach_removes_the_entry_at_the_last_sharer() {
         let mut r = SharedPtpRegistry::new();
         r.share(frame(), chunk(), Domain::USER);
-        assert!(!r.detach(frame(), UnshareTrigger::WriteFault));
+        assert!(!r.detach(frame()));
         assert_eq!(r.sharers(frame()), Some(1));
-        assert!(r.detach(frame(), UnshareTrigger::RegionOp));
+        assert!(r.detach(frame()));
         assert!(r.is_empty());
-        assert_eq!(r.stats.ptp_unshares, 2);
-        assert_eq!(r.stats.unshares_write_fault, 1);
-        assert_eq!(r.stats.unshares_region_op, 1);
-    }
-
-    #[test]
-    fn exit_detach_is_not_an_unshare() {
-        let mut r = SharedPtpRegistry::new();
-        r.share(frame(), chunk(), Domain::USER);
-        assert!(!r.exit_detach(frame()));
-        assert!(r.exit_detach(frame()));
-        assert!(r.is_empty());
-        assert_eq!(r.stats.exit_detaches, 2);
-        assert_eq!(r.stats.ptp_unshares, 0);
     }
 
     #[test]
@@ -248,7 +178,7 @@ mod tests {
         assert!(!r.shared_with_others(frame()));
         r.share(frame(), chunk(), Domain::USER);
         assert!(r.shared_with_others(frame()));
-        r.exit_detach(frame());
+        r.detach(frame());
         // One reference left: nobody else shares it anymore.
         assert!(!r.shared_with_others(frame()));
         assert_eq!(r.len(), 1);

@@ -7,9 +7,11 @@ use sat_vm::{copies_ptes, copy_vma_ptes_in_range, ForkReport, Mm};
 
 use crate::config::{CopyOnUnshare, KernelConfig};
 use crate::flush::FlushBatch;
+use crate::kernel::KernelStats;
 use crate::registry::SharedPtpRegistry;
 
-/// Why an unshare was performed — the five cases of Section 3.1.2.
+/// Why an unshare was performed — cases 1-4 of Section 3.1.2. (Case 5,
+/// process termination, detaches from the registry without unsharing.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UnshareTrigger {
     /// Case 1: a write page fault inside the shared PTP's range.
@@ -22,8 +24,6 @@ pub enum UnshareTrigger {
     NewRegion,
     /// Case 4: a region in the range was freed.
     RegionFree,
-    /// Case 5: process termination frees the PTP.
-    Exit,
 }
 
 impl UnshareTrigger {
@@ -36,7 +36,6 @@ impl UnshareTrigger {
             UnshareTrigger::RegionOp => sat_obs::UnshareCause::RegionOp,
             UnshareTrigger::NewRegion => sat_obs::UnshareCause::NewRegion,
             UnshareTrigger::RegionFree => sat_obs::UnshareCause::RegionFree,
-            UnshareTrigger::Exit => sat_obs::UnshareCause::Exit,
         }
     }
 }
@@ -286,13 +285,14 @@ pub fn fork_share(
 /// `NEED_COPY` (the Figure 6 procedure). Returns `None` when the
 /// chunk is not shared.
 ///
-/// The last-sharer decision and the cause attribution both come from
-/// the registry: [`SharedPtpRegistry::detach`] decrements the entry's
-/// refcount, records the Figure-6 trigger, and reports whether the
-/// caller was the last sharer. If so, only the `NEED_COPY` flag is
-/// cleared. Otherwise: the level-1 pair is cleared, a new PTP is
-/// allocated, and the valid PTEs are copied into it (all of them, or
-/// only referenced ones, per `config.copy_on_unshare`).
+/// The last-sharer decision comes from the registry: when the caller
+/// is the only sharer left, only the `NEED_COPY` flag is cleared.
+/// Otherwise: the level-1 pair is cleared, a new PTP is allocated, and
+/// the valid PTEs are copied into it (all of them, or only referenced
+/// ones, per `config.copy_on_unshare`). The new PTP's frame is taken
+/// before any state changes, so an `OutOfMemory` return leaves the
+/// share — registry entry, level-1 pair, counters — as it was. Each
+/// unshare is counted once, by cause, into `stats`.
 ///
 /// TLB maintenance is *gathered* into `batch`, not issued: the copied
 /// PTEs are normally bit-identical to the shared originals, so cached
@@ -308,6 +308,7 @@ pub fn unshare(
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
+    stats: &mut KernelStats,
     va: VirtAddr,
     config: &KernelConfig,
     batch: &mut FlushBatch,
@@ -322,17 +323,27 @@ pub fn unshare(
     let domain = entry.domain().unwrap_or(Domain::USER);
     let span = VaRange::from_len(chunk, PTP_SPAN);
 
-    mm.counters.ptps_unshared += 1;
-    if !matches!(trigger, UnshareTrigger::WriteFault) {
-        mm.counters.unshares_by_region_op += 1;
-    }
-
     debug_assert_eq!(
         registry.sharers(shared_frame),
         Some(phys.mapcount(shared_frame)),
         "registry sharer count out of sync with frame mapcount"
     );
-    if registry.detach(shared_frame, trigger) {
+    // The private copy's frame is the only allocation: take it first.
+    let new_frame = if registry.sharers(shared_frame) == Some(1) {
+        None
+    } else {
+        Some(phys.alloc(FrameKind::PageTable)?)
+    };
+
+    mm.counters.ptps_unshared += 1;
+    if !matches!(trigger, UnshareTrigger::WriteFault) {
+        mm.counters.unshares_by_region_op += 1;
+    }
+    let last_sharer = registry.detach(shared_frame);
+    debug_assert_eq!(last_sharer, new_frame.is_none());
+    stats.count_unshare(trigger);
+
+    let Some(new_frame) = new_frame else {
         // Last sharer: just clear NEED_COPY.
         mm.root.set_need_copy(chunk, false);
         if config.l1_write_protect {
@@ -357,14 +368,13 @@ pub fn unshare(
         };
         emit_unshare(mm, chunk, trigger, &report);
         return Ok(Some(report));
-    }
+    };
 
     // Clear our level-1 pair; the TLB maintenance the copy owes is
     // decided below, once we know whether the copy diverges.
     mm.root.clear_table_pair(chunk);
 
-    // Allocate and populate the private copy.
-    let new_frame = phys.alloc(FrameKind::PageTable)?;
+    // Populate the private copy.
     let shared = ptps
         .get(shared_frame)
         .ok_or(SatError::Internal("shared PTP missing from store"))?;
@@ -450,6 +460,7 @@ pub fn unshare_range(
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     registry: &mut SharedPtpRegistry,
+    stats: &mut KernelStats,
     range: VaRange,
     config: &KernelConfig,
     batch: &mut FlushBatch,
@@ -457,7 +468,11 @@ pub fn unshare_range(
 ) -> SatResult<usize> {
     let mut count = 0;
     for chunk in range.ptps() {
-        if unshare(mm, ptps, phys, registry, chunk, config, batch, trigger)?.is_some() {
+        if unshare(
+            mm, ptps, phys, registry, stats, chunk, config, batch, trigger,
+        )?
+        .is_some()
+        {
             count += 1;
         }
     }
@@ -502,6 +517,7 @@ mod tests {
         phys: PhysMem,
         ptps: PtpStore,
         reg: SharedPtpRegistry,
+        stats: KernelStats,
         mm: Mm,
     }
 
@@ -512,6 +528,7 @@ mod tests {
             phys,
             ptps: PtpStore::new(),
             reg: SharedPtpRegistry::new(),
+            stats: KernelStats::default(),
             mm,
         }
     }
@@ -759,7 +776,7 @@ mod tests {
             sat_vm::exit_mmap(&mut child, &mut f.ptps, &mut f.phys);
             child.free_root(&mut f.phys);
             // What Kernel::exit does for every NEED_COPY pair.
-            f.reg.exit_detach(ptp);
+            f.reg.detach(ptp);
         }
         assert_eq!(f.phys.mapcount(ptp), 1);
         assert_eq!(f.reg.sharers(ptp), Some(1));
@@ -769,6 +786,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             VirtAddr::new(0x4000_1234),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -795,6 +813,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             VirtAddr::new(0x4000_2000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -829,6 +848,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             VirtAddr::new(0x4000_0000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -871,6 +891,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             VirtAddr::new(0x4000_0000),
             &config,
             &mut batch(),
@@ -914,6 +935,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             VaRange::from_len(VirtAddr::new(0x4000_0000), 0x40_0000),
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -945,6 +967,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             va,
             &KernelConfig::shared_ptp(),
             &mut batch(),
@@ -1001,6 +1024,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             va,
             &config,
             &mut batch(),
@@ -1030,6 +1054,7 @@ mod tests {
             &mut f.ptps,
             &mut f.phys,
             &mut f.reg,
+            &mut f.stats,
             va,
             &config,
             &mut batch(),

@@ -4,16 +4,14 @@
 //! shared translation for zygote-preloaded code and finds them
 //! wasteful (≈2.6× the physical memory); Section 3.1.3 notes the two
 //! compose — a shared PTP can hold 64KB mappings, since a large page
-//! is just sixteen consecutive, aligned second-level entries. This
-//! module provides the two ways a large page comes to exist:
+//! is just sixteen consecutive, aligned second-level entries.
 //!
-//! * [`map_large`] — the eager, hugetlbfs-like path: a 64KB-aligned
-//!   region is mapped up-front, all frames allocated immediately.
-//! * [`collapse_group`] — the khugepaged-like path driven by
-//!   `sat-core`'s promotion scanner: an already fault-populated 64KB
-//!   run migrates onto a fresh physically contiguous frame group, and
-//!   never-touched hole pages get frames allocated just to let the
-//!   run go wide — the *measured* memory waste of Section 2.3.3.
+//! A large page comes to exist one way: [`collapse_group`], the
+//! khugepaged-like path driven by `sat-core`'s promotion scanner. An
+//! already fault-populated 64KB run migrates onto a fresh physically
+//! contiguous frame group, and never-touched hole pages get frames
+//! allocated just to let the run go wide — the *measured* memory
+//! waste of Section 2.3.3.
 //!
 //! Demotion (splitting a large mapping back to 4KB PTEs) lives in
 //! `sat_mmu::Mapper::split_large`; the syscall and fault paths invoke
@@ -26,147 +24,10 @@ use sat_types::{
 };
 
 use crate::mm::Mm;
-use crate::vma::{Backing, Vma};
+use crate::vma::Backing;
 
 /// Bytes in a 64KB large page.
 pub const LARGE_PAGE_BYTES: u32 = 64 * 1024;
-
-/// Statistics from a large-page mapping operation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LargeMapReport {
-    /// 64KB pages established.
-    pub large_pages: u64,
-    /// 4KB frames consumed (16 per large page).
-    pub frames: u64,
-    /// PTPs allocated.
-    pub ptps_allocated: u64,
-}
-
-/// Eagerly maps `vma`'s range with 64KB pages.
-///
-/// The range must be 64KB-aligned at both ends. For file-backed
-/// regions, all sixteen frames of each large page are read through the
-/// page cache; because the hardware requires the sixteen frames to be
-/// *physically contiguous and aligned*, file pages are copied into
-/// fresh anonymous 16-frame groups (matching Linux's requirement that
-/// hugepage-backed code be staged into huge pages rather than mapped
-/// from the ordinary page cache).
-///
-/// Returns the mapping statistics; the paper's memory-waste argument
-/// is `report.frames * 4KB` versus the 4KB-page footprint.
-pub fn map_large(
-    mm: &mut Mm,
-    ptps: &mut PtpStore,
-    phys: &mut PhysMem,
-    vma: &Vma,
-    domain: Domain,
-) -> SatResult<LargeMapReport> {
-    let range = vma.range;
-    if !range.start.raw().is_multiple_of(LARGE_PAGE_BYTES)
-        || !range.end.raw().is_multiple_of(LARGE_PAGE_BYTES)
-    {
-        return Err(SatError::InvalidArgument);
-    }
-    let mut report = LargeMapReport::default();
-    let mut mapper = Mapper::new(&mut mm.root, ptps, phys, mm.pid);
-    // Pre-check every target slot: a large page must never overwrite
-    // an existing translation (the caller would leak its frames).
-    for page in range.pages() {
-        if mapper.get_pte(page).is_some() {
-            return Err(SatError::MappingOverlap);
-        }
-    }
-    let mut va = range.start;
-    while va < range.end {
-        // Allocate sixteen frames; a fresh allocator hands out
-        // ascending PFNs, giving us the contiguous group the hardware
-        // descriptor encodes as a single base. After free-list churn
-        // that stops being true, so verify and fall back to the
-        // explicit contiguous-run allocator. On exhaustion mid-group,
-        // roll the group back so no frame leaks (already established
-        // pages of the range stay mapped; the caller sees ENOMEM, as
-        // Linux's hugetlb reservation failure would).
-        let mut group = Vec::with_capacity(PAGES_PER_64K);
-        for _ in 0..PAGES_PER_64K {
-            match mapper.phys.alloc(FrameKind::Anon) {
-                Ok(f) => group.push(f),
-                Err(e) => {
-                    for g in group {
-                        mapper.phys.put_page(g);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        if group.windows(2).any(|w| w[1].raw() != w[0].raw() + 1) {
-            for g in group.drain(..) {
-                mapper.phys.put_page(g);
-            }
-            let base = mapper
-                .phys
-                .alloc_run(FrameKind::Anon, PAGES_PER_64K as u32)?;
-            group.extend((0..PAGES_PER_64K as u32).map(|i| sat_types::Pfn::new(base.raw() + i)));
-        }
-        report.frames += PAGES_PER_64K as u64;
-        let base = group[0];
-        // When file-backed, charge the page-cache reads (a hard fault
-        // per resident 4KB page of content being staged in).
-        if let Backing::File { .. } = vma.backing {
-            for i in 0..PAGES_PER_64K as u32 {
-                let page = VirtAddr::new(va.raw() + i * PAGE_SIZE);
-                if let Some((file, index)) = vma.file_page_index(page) {
-                    let _ = mapper.phys.file_page(file, index)?;
-                }
-            }
-        }
-        // Sixteen consecutive second-level slots, all pointing into
-        // the contiguous frame group, marked as one 64KB page.
-        let hw = HwPte::large(base, vma.perms, vma.global);
-        let sw = SwPte {
-            young: true,
-            dirty: vma.perms.write(),
-            writable: vma.perms.write(),
-            shared: vma.shared,
-            file_backed: false, // staged copies are anonymous
-        };
-        for i in 0..PAGES_PER_64K as u32 {
-            let page = VirtAddr::new(va.raw() + i * PAGE_SIZE);
-            let (ptp, allocated) = mapper.ensure_ptp(page, domain)?;
-            if allocated {
-                report.ptps_allocated += 1;
-            }
-            let half = sat_mmu::TableHalf::of(page);
-            let prev = mapper
-                .ptps
-                .get_mut(ptp)
-                .ok_or(SatError::Internal("PTP vanished"))?
-                .set(
-                    half,
-                    page.l2_index(),
-                    HwPte {
-                        size: PageSize::Large64K,
-                        ..hw
-                    },
-                    sw,
-                );
-            debug_assert!(prev.is_none(), "pre-checked: no existing PTE");
-            // Reference counting: each slot holds a reference on its
-            // own 4KB frame of the group.
-            let frame = sat_types::Pfn::new(base.raw() + i);
-            mapper.phys.get_page(frame);
-            mapper.phys.map_inc(frame);
-            mapper.phys.rmap_add(frame, mapper.pid, page);
-        }
-        // Drop the allocation references: the PTEs now own the frames.
-        for i in 0..PAGES_PER_64K as u32 {
-            mapper.phys.put_page(sat_types::Pfn::new(base.raw() + i));
-        }
-        report.large_pages += 1;
-        va = VirtAddr::new(va.raw() + LARGE_PAGE_BYTES);
-    }
-    mm.counters.ptps_allocated += report.ptps_allocated;
-    Ok(report)
-}
 
 /// Outcome of promoting one 64KB group of 4KB PTEs into a large page.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -310,41 +171,45 @@ pub fn collapse_group(
     Ok(outcome)
 }
 
-/// Rounds a range outward to 64KB boundaries (what a large-page
-/// mapping of `range` must actually cover).
-pub fn round_to_large(range: VaRange) -> VaRange {
-    let start = range.start.raw() & !(LARGE_PAGE_BYTES - 1);
-    let end = range
-        .end
-        .raw()
-        .div_ceil(LARGE_PAGE_BYTES)
-        .saturating_mul(LARGE_PAGE_BYTES);
-    VaRange::new(VirtAddr::new(start), VirtAddr::new(end))
-}
-
-/// Convenience: inserts a 64KB-aligned anonymous region and maps it
-/// with large pages.
-#[allow(clippy::too_many_arguments)]
-pub fn mmap_large(
+/// Test fixture: maps an anonymous read-write heap over `len` bytes
+/// at `at` (both 64KB multiples) and turns every group into a large
+/// page the way the promotion scanner does — one write fault per
+/// group, then [`collapse_group`]. Faulting every group before the
+/// first collapse keeps the collapsed groups physically consecutive.
+#[cfg(test)]
+pub(crate) fn large_region(
     mm: &mut Mm,
     ptps: &mut PtpStore,
     phys: &mut PhysMem,
     at: VirtAddr,
     len: u32,
-    perms: Perms,
-    tag: sat_types::RegionTag,
-    name: &str,
-    domain: Domain,
-) -> SatResult<LargeMapReport> {
-    let range = round_to_large(VaRange::from_len(at, len));
-    let vma = Vma::anon(range, perms, tag, name);
-    mm.insert_vma(vma.clone())?;
-    map_large(mm, ptps, phys, &vma, domain)
+) {
+    use crate::fault::{handle_fault, FaultCtx};
+    let range = VaRange::from_len(at, len);
+    let vma = crate::vma::Vma::anon(range, Perms::RW, sat_types::RegionTag::Heap, "huge");
+    mm.insert_vma(vma).unwrap();
+    let groups = (at.raw()..range.end.raw()).step_by(LARGE_PAGE_BYTES as usize);
+    for g in groups.clone() {
+        let va = VirtAddr::new(g);
+        handle_fault(
+            mm,
+            ptps,
+            phys,
+            va,
+            sat_types::AccessType::Write,
+            FaultCtx::default(),
+        )
+        .unwrap();
+    }
+    for g in groups {
+        collapse_group(mm, ptps, phys, VirtAddr::new(g), Domain::USER).unwrap();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vma::Vma;
     use sat_mmu::walk;
     use sat_types::{Asid, Pid, RegionTag};
 
@@ -368,21 +233,11 @@ mod tests {
     fn maps_one_large_page_as_16_slots() {
         let mut f = fx();
         let at = VirtAddr::new(0x4000_0000);
-        let r = mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RX,
-            RegionTag::ZygoteNativeCode,
-            "huge",
-            Domain::USER,
-        )
-        .unwrap();
-        assert_eq!(r.large_pages, 1);
-        assert_eq!(r.frames, 16);
-        assert_eq!(r.ptps_allocated, 1);
+        let before = f.phys.frames_in_use();
+        large_region(&mut f.mm, &mut f.ptps, &mut f.phys, at, LARGE_PAGE_BYTES);
+        // 16 data frames + 1 PTP; the faulted page's frame migrated.
+        assert_eq!(f.phys.frames_in_use(), before + 17);
+        assert_eq!(f.mm.counters.ptps_allocated, 1);
         // Every 4KB page of the range translates, with the large size.
         for i in 0..16u32 {
             let res = walk(&f.mm.root, &f.ptps, VirtAddr::new(at.raw() + i * PAGE_SIZE));
@@ -397,129 +252,6 @@ mod tests {
             .unwrap()
             .translate(VirtAddr::new(at.raw() + 9 * PAGE_SIZE));
         assert_eq!(pa9.raw() - pa0.raw(), 9 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn unaligned_large_map_rejected() {
-        let mut f = fx();
-        let vma = Vma::anon(
-            VaRange::from_len(VirtAddr::new(0x4000_1000), LARGE_PAGE_BYTES),
-            Perms::RW,
-            RegionTag::Heap,
-            "x",
-        );
-        f.mm.insert_vma(vma.clone()).unwrap();
-        assert_eq!(
-            map_large(&mut f.mm, &mut f.ptps, &mut f.phys, &vma, Domain::USER).unwrap_err(),
-            SatError::InvalidArgument
-        );
-    }
-
-    #[test]
-    fn round_to_large_covers_range() {
-        let r = round_to_large(VaRange::from_len(VirtAddr::new(0x4000_3000), 0x5000));
-        assert_eq!(r.start.raw(), 0x4000_0000);
-        assert_eq!(r.end.raw(), 0x4001_0000);
-    }
-
-    #[test]
-    fn large_pages_cost_16_frames_per_64k() {
-        // The Figure 4 memory-waste argument in miniature: 1 touched
-        // 4KB page out of 64KB costs 16 frames under large pages.
-        let mut f = fx();
-        let before = f.phys.frames_in_use();
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            VirtAddr::new(0x5000_0000),
-            LARGE_PAGE_BYTES,
-            Perms::RX,
-            RegionTag::ZygoteNativeCode,
-            "waste",
-            Domain::USER,
-        )
-        .unwrap();
-        // 16 data frames + 1 PTP.
-        assert_eq!(f.phys.frames_in_use(), before + 17);
-    }
-
-    #[test]
-    fn enomem_mid_group_rolls_back_without_leaking() {
-        // Satellite: a mid-group allocation failure must leave no
-        // leaked frames and keep already-established large pages
-        // intact. Size physical memory so the *second* group runs out
-        // partway: Mm::new takes 4 frames for the root, the first
-        // large page takes 16 data frames + 1 PTP, and the remainder
-        // is too small for another 16-frame group.
-        let mut phys = PhysMem::new(4 + 16 + 1 + 7);
-        let mut mm = Mm::new(&mut phys, Pid::new(1), Asid::new(1)).unwrap();
-        let mut ptps = PtpStore::new();
-        let err = mmap_large(
-            &mut mm,
-            &mut ptps,
-            &mut phys,
-            VirtAddr::new(0x4000_0000),
-            2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "oom",
-            Domain::USER,
-        )
-        .unwrap_err();
-        assert_eq!(err, SatError::OutOfMemory);
-        // The first group's 16 frames + 1 PTP are the only survivors;
-        // the failed group's partial allocation was fully returned.
-        assert_eq!(phys.frames_in_use(), 4 + 16 + 1);
-        // The established large page still translates end to end.
-        for i in 0..16u32 {
-            let va = VirtAddr::new(0x4000_0000 + i * PAGE_SIZE);
-            let t = walk(&mm.root, &ptps, va).translation().unwrap();
-            assert_eq!(t.size, PageSize::Large64K);
-        }
-        // And tearing the space down leaks nothing.
-        crate::syscalls::exit_mmap(&mut mm, &mut ptps, &mut phys);
-        assert_eq!(phys.frames_in_use(), 4);
-    }
-
-    #[test]
-    fn map_large_survives_fragmented_free_list() {
-        // Free-list churn makes sequential alloc() non-contiguous;
-        // map_large must detect that and fall back to alloc_run.
-        let mut f = fx();
-        let churn: Vec<_> = (0..33)
-            .map(|_| f.phys.alloc(sat_phys::FrameKind::Anon).unwrap())
-            .collect();
-        // Free every other frame: the LIFO free list now yields a
-        // non-contiguous sequence first.
-        for (i, pfn) in churn.iter().enumerate() {
-            if i % 2 == 0 {
-                f.phys.put_page(*pfn);
-            }
-        }
-        let at = VirtAddr::new(0x4000_0000);
-        mmap_large(
-            &mut f.mm,
-            &mut f.ptps,
-            &mut f.phys,
-            at,
-            LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "frag",
-            Domain::USER,
-        )
-        .unwrap();
-        // Consecutive pages translate to consecutive frames.
-        let t0 = walk(&f.mm.root, &f.ptps, at).translation().unwrap();
-        for i in 0..16u32 {
-            let va = VirtAddr::new(at.raw() + i * PAGE_SIZE);
-            let t = walk(&f.mm.root, &f.ptps, va).translation().unwrap();
-            assert_eq!(
-                t.translate(va).raw(),
-                t0.translate(at).raw() + i * PAGE_SIZE
-            );
-        }
     }
 
     #[test]
@@ -630,18 +362,13 @@ mod tests {
     fn large_mapped_region_survives_exit_teardown() {
         let mut f = fx();
         let baseline = f.phys.frames_in_use();
-        mmap_large(
+        large_region(
             &mut f.mm,
             &mut f.ptps,
             &mut f.phys,
             VirtAddr::new(0x5000_0000),
             2 * LARGE_PAGE_BYTES,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge-heap",
-            Domain::USER,
-        )
-        .unwrap();
+        );
         crate::syscalls::exit_mmap(&mut f.mm, &mut f.ptps, &mut f.phys);
         assert_eq!(f.phys.frames_in_use(), baseline);
         assert!(f.ptps.is_empty());

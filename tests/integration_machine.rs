@@ -2,7 +2,7 @@
 //! determinism through the full hardware/kernel stack.
 
 use sat_android::{launch_app_seq, AndroidSystem, BootOptions, LaunchOptions, LibraryLayout};
-use sat_core::{Kernel, KernelConfig};
+use sat_core::{Kernel, KernelConfig, PromotePolicy};
 use sat_sim::Machine;
 use sat_types::{AccessType, Perms, Pid, RegionTag, VirtAddr, PAGE_SIZE};
 use sat_vm::MmapRequest;
@@ -318,12 +318,47 @@ fn fork_flushes_stale_writable_parent_entries() {
     assert_ne!(parent_frame, child_frame, "COW isolation broken");
 }
 
-#[test]
-fn mmap_large_unshares_before_installing_ptes() {
-    // Regression: eager large-page installs must not land in a PTP
-    // still shared with other processes.
+/// Bytes in one 64KB large page.
+const LARGE: u32 = 64 * 1024;
+
+/// A kernel whose promotion scanner collapses any group with at least
+/// one populated slot (no sections).
+fn promoting(config: KernelConfig) -> KernelConfig {
+    config.with_promote(PromotePolicy {
+        enabled: true,
+        min_populated: 1,
+        sections: false,
+    })
+}
+
+/// Maps a `groups`-group anonymous heap at `at` in `pid` and turns it
+/// into 64KB pages the way large pages arise: one write fault per
+/// group, then a promotion scan.
+fn promoted_heap(kernel: &mut Kernel, pid: Pid, at: u32, groups: u32) {
     use sat_core::NoTlb;
-    let mut kernel = Kernel::new(KernelConfig::shared_ptp(), 65_536);
+    let req =
+        MmapRequest::anon(groups * LARGE, Perms::RW, RegionTag::Heap, "huge").at(VirtAddr::new(at));
+    kernel.mmap(pid, &req, &mut NoTlb).unwrap();
+    for g in 0..groups {
+        kernel
+            .page_fault(
+                pid,
+                VirtAddr::new(at + g * LARGE),
+                AccessType::Write,
+                &mut NoTlb,
+            )
+            .unwrap();
+    }
+    let r = kernel.promote_scan(pid, &mut NoTlb).unwrap();
+    assert_eq!(r.promoted, u64::from(groups));
+}
+
+#[test]
+fn promotion_in_a_shared_chunk_stays_private() {
+    // Regression: large-page installs must not land in a PTP still
+    // shared with other processes.
+    use sat_core::NoTlb;
+    let mut kernel = Kernel::new(promoting(KernelConfig::shared_ptp()), 65_536);
     let zygote = kernel.create_process().unwrap();
     kernel.exec_zygote(zygote).unwrap();
     // A touched heap page so the chunk has a PTP to share.
@@ -350,27 +385,16 @@ fn mmap_large_unshares_before_installing_ptes() {
         .root
         .entry_for(VirtAddr::new(0x0800_0000))
         .need_copy());
-    // Child maps a 64KB large page in a free hole of the shared chunk.
-    kernel
-        .mmap_large(
-            child,
-            VirtAddr::new(0x0810_0000),
-            64 * 1024,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            &mut NoTlb,
-        )
-        .unwrap();
+    // Child maps a 64KB region in a free hole of the shared chunk,
+    // faults it and promotes it.
+    promoted_heap(&mut kernel, child, 0x0810_0000, 1);
     // The chunk was unshared first: the zygote must NOT see the PTEs.
     assert!(kernel
         .pte(zygote, VirtAddr::new(0x0810_0000))
         .unwrap()
         .is_none());
-    assert!(kernel
-        .pte(child, VirtAddr::new(0x0810_0000))
-        .unwrap()
-        .is_some());
+    let slot = kernel.pte(child, VirtAddr::new(0x0810_0000)).unwrap();
+    assert_eq!(slot.unwrap().hw.size, sat_types::PageSize::Large64K);
     assert!(!kernel
         .mm(child)
         .unwrap()
@@ -384,20 +408,10 @@ fn unshare_of_large_page_chunk_balances_refcounts() {
     // Regression: unshare's PTE-copy pass must reference each 64KB
     // slot's own 4KB frame, matching teardown accounting.
     use sat_core::NoTlb;
-    let mut kernel = Kernel::new(KernelConfig::shared_ptp(), 65_536);
+    let mut kernel = Kernel::new(promoting(KernelConfig::shared_ptp()), 65_536);
     let zygote = kernel.create_process().unwrap();
     kernel.exec_zygote(zygote).unwrap();
-    kernel
-        .mmap_large(
-            zygote,
-            VirtAddr::new(0x0900_0000),
-            2 * 64 * 1024,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            &mut NoTlb,
-        )
-        .unwrap();
+    promoted_heap(&mut kernel, zygote, 0x0900_0000, 2);
     let baseline = kernel.phys.frames_in_use();
     let child = kernel.fork(zygote).unwrap().child;
     // The child's write fault unshares the chunk (copying the 32
@@ -420,19 +434,9 @@ fn unshare_of_large_page_chunk_balances_refcounts() {
 #[test]
 fn partial_large_page_operations_demote_instead_of_failing() {
     use sat_core::NoTlb;
-    let mut kernel = Kernel::new(KernelConfig::stock(), 65_536);
+    let mut kernel = Kernel::new(promoting(KernelConfig::stock()), 65_536);
     let pid = kernel.create_process().unwrap();
-    kernel
-        .mmap_large(
-            pid,
-            VirtAddr::new(0x0900_0000),
-            64 * 1024,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge",
-            &mut NoTlb,
-        )
-        .unwrap();
+    promoted_heap(&mut kernel, pid, 0x0900_0000, 1);
     // Partial munmap (16KB of a 64KB page) splits the page back to
     // sixteen 4KB PTEs first (Linux's split-before-zap)...
     let partial = sat_types::VaRange::from_len(VirtAddr::new(0x0900_0000), 4 * PAGE_SIZE);
@@ -449,22 +453,12 @@ fn partial_large_page_operations_demote_instead_of_failing() {
         .unwrap()
         .is_some());
     // Partial mprotect demotes symmetrically.
-    kernel
-        .mmap_large(
-            pid,
-            VirtAddr::new(0x0910_0000),
-            64 * 1024,
-            Perms::RW,
-            RegionTag::Heap,
-            "huge2",
-            &mut NoTlb,
-        )
-        .unwrap();
+    promoted_heap(&mut kernel, pid, 0x0910_0000, 1);
     let cut = sat_types::VaRange::from_len(VirtAddr::new(0x0910_0000), 4 * PAGE_SIZE);
     kernel.mprotect(pid, cut, Perms::R, &mut NoTlb).unwrap();
     assert_eq!(kernel.stats.demotions, 2);
     // Whole-page operations never split.
-    let whole = sat_types::VaRange::from_len(VirtAddr::new(0x0910_0000), 64 * 1024);
+    let whole = sat_types::VaRange::from_len(VirtAddr::new(0x0910_0000), LARGE);
     kernel.munmap(pid, whole, &mut NoTlb).unwrap();
     assert_eq!(kernel.stats.demotions, 2);
     assert!(kernel
